@@ -5,15 +5,19 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "benchsuite/suite.h"
 #include "driver/model_cache.h"
+#include "spm/cache_sim.h"
 #include "spm/replay.h"
 #include "staticforay/checker.h"
 #include "spm/reuse.h"
@@ -291,9 +295,117 @@ size_t SweepGrid::flat_index(const PointKey& key) const {
 
 namespace {
 
-/// One Phase II solve's worth of output, produced by a pure point solve
-/// (core::solve_spm + optional replay) with no shared mutable state —
-/// what lets grid points of one job run on different workers.
+/// A map whose entries are computed once: the first caller of get() for
+/// a key computes the value, and concurrent callers for the same key
+/// wait for it instead of computing it again. A value `keep` rejects, or
+/// a compute that throws, reaches only its own caller: the entry is
+/// dropped and every waiter computes anew, so one caller's failure never
+/// becomes another's result.
+template <typename Key, typename Value>
+class OnceMap {
+ public:
+  template <typename Compute, typename Keep>
+  Value get(const Key& key, Compute&& compute, Keep&& keep) {
+    for (;;) {
+      std::promise<Entry> claim;
+      Slot pending;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto [it, claimed] = entries_.try_emplace(key);
+        if (claimed) {
+          it->second = claim.get_future().share();
+        } else {
+          pending = it->second;
+        }
+      }
+      if (pending.valid()) {
+        if (const Entry v = pending.get()) return *v;
+        continue;  // the claimant's value was not kept
+      }
+      Value v;
+      Entry kept;
+      try {
+        v = compute();
+        if (keep(v)) kept = std::make_shared<const Value>(v);
+      } catch (...) {
+        drop(key, &claim);
+        throw;
+      }
+      if (kept != nullptr) {
+        claim.set_value(std::move(kept));
+      } else {
+        drop(key, &claim);
+      }
+      return v;
+    }
+  }
+
+  /// Stores a value computed elsewhere; an existing entry wins.
+  void seed(const Key& key, Value v) {
+    std::promise<Entry> ready;
+    ready.set_value(std::make_shared<const Value>(std::move(v)));
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.try_emplace(key, ready.get_future().share());
+  }
+
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+  }
+
+ private:
+  using Entry = std::shared_ptr<const Value>;
+  using Slot = std::shared_future<Entry>;
+
+  void drop(const Key& key, std::promise<Entry>* claim) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      entries_.erase(key);
+    }
+    claim->set_value(nullptr);
+  }
+
+  std::mutex mu_;
+  std::map<Key, Slot> entries_;
+};
+
+/// The Phase II products of one job that depend on less than a whole
+/// grid point, each computed once per job. A transform replay depends
+/// only on the model and the exact selection: the run and transform
+/// options are fixed for the sweep, and the report reads no capacity or
+/// energy value (spm::ReplayOptions::dse). So replays are keyed by the
+/// selection's ordered (ref_index, level) list, and the cache and
+/// energy axes re-use them. A cache comparison's hit/miss counts depend
+/// only on the geometry, so they are keyed by (capacity, line bytes,
+/// assoc) and each point prices them under its own energy model. Only ok
+/// replays are kept: a deadline, cancel, budget or transient failure
+/// stays the outcome of the point that hit it.
+struct PhaseTwoMemo {
+  using ReplayKey = std::vector<std::pair<size_t, int>>;
+  using CacheKey = std::tuple<uint32_t, uint32_t, int>;
+  struct CacheCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
+  static ReplayKey replay_key(const spm::Selection& sel) {
+    ReplayKey key;
+    key.reserve(sel.chosen.size());
+    for (const auto& c : sel.chosen) key.emplace_back(c.ref_index, c.level);
+    return key;
+  }
+  static CacheKey cache_key(const spm::CacheConfig& cfg) {
+    return {cfg.size_bytes, cfg.line_bytes, cfg.assoc};
+  }
+
+  OnceMap<ReplayKey, spm::ReplayReport> replays;
+  OnceMap<CacheKey, CacheCounts> caches;
+};
+
+/// One Phase II solve's worth of output, produced by a point solve
+/// (core::solve_spm + optional replay) whose only shared state is the
+/// job's PhaseTwoMemo — what lets grid points of one job run on
+/// different workers.
 struct PointSolve {
   util::Status status;  ///< ok unless the solve threw or replay errored
   core::SpmReport spm;
@@ -304,7 +416,8 @@ struct PointSolve {
 PointSolve solve_point(const core::ForayModel& model,
                        const core::PipelineOptions& base,
                        const SweepPoint& point,
-                       const std::vector<spm::BufferCandidate>& candidates) {
+                       const std::vector<spm::BufferCandidate>& candidates,
+                       PhaseTwoMemo* memo) {
   PointSolve out;
   // Fault site "spm.solve": the Phase II solver dies mid-point. param=0
   // injects an internal error (never retried); any nonzero param injects
@@ -323,8 +436,29 @@ PointSolve solve_point(const core::ForayModel& model,
   // Keep the failure-isolation promise even for internal errors during a
   // point solve: mark this solve's items, keep the sweep.
   try {
-    const core::SpmPhaseOptions popts = point.spm_options(base.spm);
+    core::SpmPhaseOptions popts = point.spm_options(base.spm);
+    // The cache comparison comes from the memo below, in the same order
+    // solve_spm would produce it.
+    const bool compare_cache = popts.compare_cache;
+    popts.compare_cache = false;
     out.spm = core::solve_spm(model, popts, &candidates);
+    if (compare_cache) {
+      for (int assoc : popts.cache_assocs) {
+        const spm::CacheConfig cfg{popts.dse.spm_capacity,
+                                   popts.cache_line_bytes, assoc};
+        const PhaseTwoMemo::CacheCounts n = memo->caches.get(
+            PhaseTwoMemo::cache_key(cfg),
+            [&] {
+              const spm::CacheSim sim = core::simulate_cache(model, cfg);
+              return PhaseTwoMemo::CacheCounts{sim.hits(), sim.misses()};
+            },
+            [](const PhaseTwoMemo::CacheCounts&) { return true; });
+        out.spm.caches.push_back(core::SpmReport::CacheComparison{
+            assoc, n.hits, n.misses,
+            spm::cache_energy_nj(cfg, n.hits, n.misses,
+                                 popts.dse.energy)});
+      }
+    }
     if (point.replay) {
       // The replay check is per-selection (see spm_replay_phase); a
       // failure to *execute* the transformed program fails the point,
@@ -332,7 +466,10 @@ PointSolve solve_point(const core::ForayModel& model,
       spm::ReplayOptions ropts;
       ropts.run = base.run;
       ropts.dse = popts.dse;
-      out.replay = spm::replay_selection(model, out.spm.exact, ropts);
+      out.replay = memo->replays.get(
+          PhaseTwoMemo::replay_key(out.spm.exact),
+          [&] { return spm::replay_selection(model, out.spm.exact, ropts); },
+          [](const spm::ReplayReport& r) { return r.status.ok(); });
       out.replay_ran = true;
       if (!out.replay.status.ok()) out.status = out.replay.status;
     }
@@ -358,10 +495,11 @@ bool transient(const util::Status& st) {
 PointSolve solve_point_with_retry(
     const core::ForayModel& model, const core::PipelineOptions& base,
     const SweepPoint& point,
-    const std::vector<spm::BufferCandidate>& candidates, int retries) {
-  PointSolve out = solve_point(model, base, point, candidates);
+    const std::vector<spm::BufferCandidate>& candidates, PhaseTwoMemo* memo,
+    int retries) {
+  PointSolve out = solve_point(model, base, point, candidates, memo);
   for (int r = 0; r < retries && transient(out.status); ++r) {
-    out = solve_point(model, base, point, candidates);
+    out = solve_point(model, base, point, candidates, memo);
   }
   return out;
 }
@@ -402,6 +540,9 @@ struct JobState {
   /// model and the reuse filter, never on the swept axes, so every grid
   /// point reuses this list instead of re-enumerating per solve.
   std::vector<spm::BufferCandidate> candidates;
+  /// Replays and cache comparisons shared by the job's solve groups;
+  /// emptied when the job's last group finishes.
+  PhaseTwoMemo memo;
   /// Solve groups still outstanding; the worker that finishes the last
   /// one finalizes the job.
   std::atomic<size_t> remaining{0};
@@ -470,6 +611,19 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
       // run() above already enumerated for point 0 under the same reuse
       // filter (spm_options never touches it); steal the list.
       js->candidates = res.spm.candidates;
+      // Point 0's replay and cache comparisons seed the memo, so later
+      // groups with the same selection or geometry do not redo them.
+      if (res.replay_ran && res.replay.status.ok()) {
+        js->memo.replays.seed(PhaseTwoMemo::replay_key(res.spm.exact),
+                              res.replay);
+      }
+      for (const auto& c : res.spm.caches) {
+        js->memo.caches.seed(
+            PhaseTwoMemo::cache_key(spm::CacheConfig{
+                res.spm.capacity, sopts.pipeline.spm.cache_line_bytes,
+                c.assoc}),
+            PhaseTwoMemo::CacheCounts{c.hits, c.misses});
+      }
     } else {
       js->candidates =
           spm::enumerate_candidates(res.model, opts.pipeline.spm.reuse);
@@ -690,7 +844,7 @@ class SweepExec {
     } else {
       solve = solve_point_with_retry(res.model, opts_.pipeline,
                                      grid_.points[g.begin], js.candidates,
-                                     opts_.transient_retries);
+                                     &js.memo, opts_.transient_retries);
     }
     for (size_t i = g.begin; i < g.end; ++i) {
       if (plan_.point_cached(j, i)) continue;
@@ -700,6 +854,8 @@ class SweepExec {
                i);
     }
     if (js.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      js.memo.replays.clear();
+      js.memo.caches.clear();
       on_job_done_(j, std::move(js.session));
     }
   }

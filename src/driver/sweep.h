@@ -22,7 +22,11 @@
 // maximal run of consecutive points sharing (capacity, energy, cache,
 // replay); the algorithm axis only relabels the headline selection. A
 // P-program × K-point grid costs P pipeline runs, P candidate
-// enumerations and at most P·K cheap DSE solves.
+// enumerations and at most P·K cheap DSE solves. The expensive Phase II
+// products are memoized per program: a transform replay runs once per
+// distinct exact selection (it depends on nothing else), and a cache
+// comparison simulates once per (capacity, line, assoc) and is priced
+// per energy model. Failed replays are never reused.
 //
 // Both jobs AND the solve groups within one job are fanned across the
 // thread pool (core::solve_spm is pure over the immutable model), so a

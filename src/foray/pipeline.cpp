@@ -131,16 +131,22 @@ SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
   report.with_spm = spm::evaluate_selection(model, report.exact, opts.dse);
   if (opts.compare_cache) {
     for (int assoc : opts.cache_assocs) {
-      spm::CacheSim cache(spm::CacheConfig{opts.dse.spm_capacity,
-                                           opts.cache_line_bytes, assoc});
-      spm::for_each_address(model,
-                            [&](uint32_t addr) { cache.access(addr); });
+      const spm::CacheSim cache = simulate_cache(
+          model, spm::CacheConfig{opts.dse.spm_capacity,
+                                  opts.cache_line_bytes, assoc});
       report.caches.push_back(SpmReport::CacheComparison{
           assoc, cache.hits(), cache.misses(),
           cache.energy_nj(opts.dse.energy)});
     }
   }
   return report;
+}
+
+spm::CacheSim simulate_cache(const ForayModel& model,
+                             const spm::CacheConfig& cfg) {
+  spm::CacheSim cache(cfg);
+  spm::for_each_address(model, [&](uint32_t addr) { cache.access(addr); });
+  return cache;
 }
 
 util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result) {

@@ -37,6 +37,7 @@
 #include "minic/ast.h"
 #include "minic/sema.h"
 #include "sim/interpreter.h"
+#include "spm/cache_sim.h"
 #include "spm/dse.h"
 #include "spm/replay.h"
 #include "spm/reuse.h"
@@ -195,6 +196,13 @@ util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result);
 SpmReport solve_spm(const ForayModel& model, const SpmPhaseOptions& opts,
                     const std::vector<spm::BufferCandidate>* candidates =
                         nullptr);
+
+/// The model's address stream through one LRU cache geometry (the
+/// SpmPhaseOptions::compare_cache comparison). Its hit/miss counts depend
+/// on the model and `cfg` alone; solve_spm prices them per energy model
+/// with CacheSim::energy_nj, sweeps through spm::cache_energy_nj.
+spm::CacheSim simulate_cache(const ForayModel& model,
+                             const spm::CacheConfig& cfg);
 
 /// Phase II exit check: emit the transformed program for the SpmPhase's
 /// exact selection, execute it on the simulator (same engine as the

@@ -49,12 +49,17 @@ bool CacheSim::access(uint32_t addr) {
   return false;
 }
 
-double CacheSim::energy_nj(const EnergyModel& e) const {
-  const double lookup = e.cache_access_nj(cfg_.size_bytes, cfg_.assoc);
+double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
+                       uint64_t misses, const EnergyModel& e) {
+  const double lookup = e.cache_access_nj(cfg.size_bytes, cfg.assoc);
   const double miss_fill =
-      e.dram_nj * (static_cast<double>(cfg_.line_bytes) / 4.0);
-  return static_cast<double>(accesses()) * lookup +
-         static_cast<double>(misses_) * miss_fill;
+      e.dram_nj * (static_cast<double>(cfg.line_bytes) / 4.0);
+  return static_cast<double>(hits + misses) * lookup +
+         static_cast<double>(misses) * miss_fill;
+}
+
+double CacheSim::energy_nj(const EnergyModel& e) const {
+  return cache_energy_nj(cfg_, hits_, misses_, e);
 }
 
 void CacheSim::reset() {

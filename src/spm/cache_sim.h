@@ -19,6 +19,13 @@ struct CacheConfig {
   int assoc = 2;
 };
 
+/// Energy of a cache of geometry `cfg` that served `hits` + `misses`
+/// accesses: every access pays the lookup; every miss additionally
+/// fetches a full line from main memory. The counts depend on the
+/// geometry alone, so one simulation prices any number of energy models.
+double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
+                       uint64_t misses, const EnergyModel& e);
+
 class CacheSim {
  public:
   explicit CacheSim(const CacheConfig& cfg);
@@ -33,8 +40,7 @@ class CacheSim {
     return accesses() ? static_cast<double>(hits_) / accesses() : 0.0;
   }
 
-  /// Total energy: every access pays the cache lookup; every miss
-  /// additionally fetches a full line from main memory.
+  /// Total energy of the accesses so far (cache_energy_nj).
   double energy_nj(const EnergyModel& e) const;
 
   const CacheConfig& config() const { return cfg_; }

@@ -44,8 +44,11 @@ struct ReplayOptions {
   /// sink segments transfer events with them) and scalar/system traffic
   /// is not traced (the classification only consumes Data accesses).
   sim::RunOptions run;
-  /// Energy parameters for the analytic evaluation (only the capacity
-  /// and energy model matter; the DP granule is unused here).
+  /// Passed to the analytic evaluate_selection calls. The report keeps
+  /// only their access and transfer counters, which read neither the
+  /// capacity nor the energy model (nor the DP granule), so a report is
+  /// a function of the model, the selection, `transform` and `run`
+  /// alone — what lets a sweep replay each distinct selection once.
   DseOptions dse;
 };
 

@@ -2,13 +2,19 @@
 // PointKey lookup, Pareto extraction, and the two contracts inherited
 // from the batch driver and extended to the full multi-axis grid —
 // byte-identical reports whatever the thread count (including the
-// streaming NDJSON writer) and per-job failure isolation.
+// streaming NDJSON writer) and per-job failure isolation. Also the
+// per-job Phase II memo: memoized rows equal one-point sweeps, and a
+// failed replay is never handed to another point.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "driver/model_cache.h"
 #include "driver/sweep.h"
 #include "spm/energy.h"
+#include "util/fault.h"
 #include "util/status.h"
 
 namespace foray::driver {
@@ -37,6 +43,21 @@ const char* kGood2 =
 
 const char* kParseError = "int main(void) { return 0;";  // no brace
 
+// A 3 KB array re-read in 256 B tiles: a 1024 B SPM picks the level-2
+// tile buffer, a 4096 B one the whole array, and a 1024 B cache misses
+// where a 4096 B one holds it. Memo keys that dropped the buffer level
+// or the cache capacity would hand one point another's result.
+const char* kTiled =
+    "int t[768];\n"
+    "int main(void) {\n"
+    "  int s = 0;\n"
+    "  for (int r = 0; r < 8; r++)\n"
+    "    for (int b = 0; b < 12; b++)\n"
+    "      for (int k = 0; k < 4; k++)\n"
+    "        for (int i = 0; i < 64; i++) s = s + t[b * 64 + i] + r;\n"
+    "  return s & 255;\n"
+    "}\n";
+
 std::vector<SweepJob> good_jobs() {
   return {{"alpha", kGood}, {"beta", kGood2}};
 }
@@ -47,6 +68,27 @@ SweepOptions sweep_opts(int threads) {
   o.pipeline.filter.min_exec = 1;
   o.pipeline.filter.min_locations = 1;
   return o;
+}
+
+/// The `point` rows of an NDJSON stream, in stream order.
+std::vector<std::string> point_rows(const std::string& ndjson) {
+  std::vector<std::string> rows;
+  std::istringstream in(ndjson);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"kind\":\"point\"") != std::string::npos) {
+      rows.push_back(line);
+    }
+  }
+  return rows;
+}
+
+/// A point row without its grid key (the one field that names the
+/// point's place in its grid rather than its result).
+std::string without_key(const std::string& row) {
+  const size_t begin = row.find("\"key\":{");
+  const size_t end = row.find("},", begin);
+  if (begin == std::string::npos || end == std::string::npos) return row;
+  return row.substr(0, begin) + row.substr(end + 2);
 }
 
 // -- energy presets -----------------------------------------------------------
@@ -289,6 +331,111 @@ TEST(SweepDriver, ReplayAxisValidatesPerPoint) {
   EXPECT_FALSE(off.replay_ran);
   ASSERT_TRUE(on.replay_ran);
   EXPECT_TRUE(on.replay.matches());
+}
+
+// The memo oracle: in a replayed grid, points share replays across the
+// cache and energy axes and cache comparisons across the energy axis.
+// Each memoized row must equal the row a one-point sweep at the same
+// coordinates computes from scratch, whatever the thread count.
+TEST(SweepDriver, MemoizedRowsMatchOnePointSweeps) {
+  std::vector<SweepJob> jobs = good_jobs();
+  jobs.push_back({"tiled", kTiled});
+  const char* const capacities[] = {"1024", "4096"};
+  const char* const energies[] = {"default", "dram-heavy"};
+  const char* const caches[] = {"off", "32x2"};
+  const char* const algorithms[] = {"dp", "greedy"};
+
+  // One-point sweeps in grid order (capacity, energy, cache, algorithm):
+  // each point is solved and replayed by the cold Session path alone.
+  std::vector<std::vector<std::string>> want(jobs.size());
+  for (const char* cap : capacities) {
+    for (const char* energy : energies) {
+      for (const char* cache : caches) {
+        for (const char* algo : algorithms) {
+          SweepOptions o = sweep_opts(1);
+          ASSERT_TRUE(o.spec.parse_axis("capacity", cap).ok());
+          ASSERT_TRUE(o.spec.parse_axis("energy", energy).ok());
+          ASSERT_TRUE(o.spec.parse_axis("cache", cache).ok());
+          ASSERT_TRUE(o.spec.parse_axis("algorithm", algo).ok());
+          ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+          std::ostringstream os;
+          ASSERT_TRUE(SweepDriver(o).run_ndjson(jobs, os).ok());
+          const std::vector<std::string> rows = point_rows(os.str());
+          ASSERT_EQ(rows.size(), jobs.size());
+          for (size_t j = 0; j < jobs.size(); ++j) {
+            EXPECT_NE(rows[j].find("\"replay_check\":{\"ok\":true"),
+                      std::string::npos)
+                << rows[j];
+            want[j].push_back(without_key(rows[j]));
+          }
+        }
+      }
+    }
+  }
+
+  for (int threads : {1, 4}) {
+    SweepOptions o = sweep_opts(threads);
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024,4096").ok());
+    ASSERT_TRUE(o.spec.parse_axis("energy", "default,dram-heavy").ok());
+    ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2").ok());
+    ASSERT_TRUE(o.spec.parse_axis("algorithm", "dp,greedy").ok());
+    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+    std::ostringstream os;
+    ASSERT_TRUE(SweepDriver(o).run_ndjson(jobs, os).ok());
+    const std::vector<std::string> rows = point_rows(os.str());
+    const size_t per_job = want.front().size();
+    ASSERT_EQ(rows.size(), jobs.size() * per_job);
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      for (size_t i = 0; i < per_job; ++i) {
+        EXPECT_EQ(without_key(rows[j * per_job + i]), want[j][i])
+            << "threads " << threads << ", job " << j << ", point " << i;
+      }
+    }
+  }
+}
+
+// A replay that fails is the failing point's outcome only. On a warm job
+// (no Phase I), one stalled simulation trips the wall-clock budget of
+// the first replay; the twin point across the cache axis has the same
+// selection and must replay afresh and pass, not inherit the failure.
+TEST(SweepDriver, FailedReplayIsNeverReused) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ModelCache cache;
+    SweepOptions o = sweep_opts(threads);
+    o.model_cache = &cache;
+    // Generous for these replays (milliseconds), short of the stall.
+    o.pipeline.run.budget.timeout_seconds = 0.5;
+    ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());
+    ASSERT_TRUE(o.spec.parse_axis("cache", "off,32x2").ok());
+    ASSERT_TRUE(o.spec.parse_axis("replay", "on").ok());
+    const std::vector<SweepJob> jobs = {{"alpha", kGood}};
+    std::ostringstream cold;
+    ASSERT_TRUE(SweepDriver(o).run_ndjson(jobs, cold).ok());
+
+    ASSERT_TRUE(util::fault::configure("sim.slow:param=1000:count=1").ok());
+    std::ostringstream warm;
+    const util::Status st = SweepDriver(o).run_ndjson(jobs, warm);
+    util::fault::reset();
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), util::ErrorCode::kDeadlineExceeded);
+
+    const std::vector<std::string> rows = point_rows(warm.str());
+    ASSERT_EQ(rows.size(), 2u);
+    int deadline_rows = 0;
+    for (const std::string& row : rows) {
+      if (row.find("\"error_class\":\"deadline_exceeded\"") !=
+          std::string::npos) {
+        ++deadline_rows;
+      } else {
+        EXPECT_NE(row.find("\"replay_check\":{\"ok\":true"),
+                  std::string::npos)
+            << row;
+      }
+    }
+    EXPECT_EQ(deadline_rows, 1) << warm.str();
+  }
 }
 
 TEST(SweepDriver, ParetoFrontierIsStrictlyImproving) {

@@ -32,6 +32,7 @@
 #include "minic/parser.h"
 #include "sim/classify_sink.h"
 #include "sim/interp_impl.h"
+#include "spm/energy.h"
 #include "spm/replay.h"
 #include "spm/reuse.h"
 #include "trace/sink.h"
@@ -149,6 +150,70 @@ TEST(TransformReplay, RunPipelineWithReplayRunsEndToEnd) {
   EXPECT_TRUE(res.spm.exact.chosen[0].sliding_window);
   EXPECT_GT(res.replay.sim_spm_accesses, 0u);
   EXPECT_GT(res.replay.sim_transfer_words, 0u);
+}
+
+// A report depends on the model and the selection, not on the capacity
+// or energy model its analytic side is evaluated under. The sweep
+// driver replays each distinct selection once per job on this premise,
+// so pin it field for field.
+TEST(TransformReplay, ReportIgnoresCapacityAndEnergyModel) {
+  core::PipelineOptions opts;
+  opts.with_spm = true;
+  auto res = core::run_pipeline(benchsuite::get_benchmark("susan").source,
+                                opts);
+  ASSERT_TRUE(res.ok()) << res.error();
+  ASSERT_FALSE(res.spm.exact.chosen.empty());
+
+  std::vector<ReplayReport> reports;
+  for (uint32_t cap : {1024u, 16384u}) {
+    for (const char* energy : {"default", "dram-heavy"}) {
+      const EnergyPreset* preset = find_energy_preset(energy);
+      ASSERT_NE(preset, nullptr) << energy;
+      ReplayOptions ropts;
+      ropts.dse.spm_capacity = cap;
+      ropts.dse.energy = preset->model;
+      reports.push_back(replay_selection(res.model, res.spm.exact, ropts));
+    }
+  }
+  const ReplayReport& a = reports.front();
+  ASSERT_TRUE(a.matches()) << describe_replay_report(a, res.model);
+  for (size_t i = 1; i < reports.size(); ++i) {
+    const ReplayReport& b = reports[i];
+    SCOPED_TRACE("report " + std::to_string(i));
+    EXPECT_EQ(a.status.ok(), b.status.ok());
+    EXPECT_EQ(a.status.message(), b.status.message());
+    EXPECT_EQ(a.ran, b.ran);
+    EXPECT_EQ(a.source, b.source);
+    ASSERT_EQ(a.buffers.size(), b.buffers.size());
+    for (size_t k = 0; k < a.buffers.size(); ++k) {
+      const ReplayBuffer& x = a.buffers[k];
+      const ReplayBuffer& y = b.buffers[k];
+      EXPECT_EQ(x.ref_index, y.ref_index);
+      EXPECT_EQ(x.level, y.level);
+      EXPECT_EQ(x.sliding, y.sliding);
+      EXPECT_EQ(x.sim_spm_accesses, y.sim_spm_accesses);
+      EXPECT_EQ(x.sim_main_accesses, y.sim_main_accesses);
+      EXPECT_EQ(x.sim_fill_events, y.sim_fill_events);
+      EXPECT_EQ(x.sim_fill_bytes, y.sim_fill_bytes);
+      EXPECT_EQ(x.sim_writeback_events, y.sim_writeback_events);
+      EXPECT_EQ(x.sim_writeback_bytes, y.sim_writeback_bytes);
+      EXPECT_EQ(x.sim_transfer_words, y.sim_transfer_words);
+      EXPECT_EQ(x.ana_spm_accesses, y.ana_spm_accesses);
+      EXPECT_EQ(x.ana_transfer_words, y.ana_transfer_words);
+    }
+    EXPECT_EQ(a.sim_spm_accesses, b.sim_spm_accesses);
+    EXPECT_EQ(a.sim_main_accesses, b.sim_main_accesses);
+    EXPECT_EQ(a.sim_transfer_words, b.sim_transfer_words);
+    EXPECT_EQ(a.unclassified_accesses, b.unclassified_accesses);
+    EXPECT_EQ(a.ana_spm_accesses, b.ana_spm_accesses);
+    EXPECT_EQ(a.ana_main_accesses, b.ana_main_accesses);
+    EXPECT_EQ(a.ana_transfer_words, b.ana_transfer_words);
+    EXPECT_EQ(a.model_spm_accesses, b.model_spm_accesses);
+    EXPECT_EQ(a.model_main_accesses, b.model_main_accesses);
+    EXPECT_EQ(a.model_transfer_words, b.model_transfer_words);
+    EXPECT_EQ(a.rectangular, b.rectangular);
+    EXPECT_EQ(a.mismatches, b.mismatches);
+  }
 }
 
 // ---------------------------------------------------------------------------
