@@ -1,6 +1,6 @@
 // Profiling/extraction throughput over the benchsuite — the perf
 // trajectory for the chunked zero-virtual-call trace transport and the
-// sharded extractor.
+// sequential extractor.
 //
 // Per benchmark it measures, in records/sec:
 //   sim       bytecode-VM simulator filling a VectorSink (the default
@@ -20,27 +20,10 @@
 //   record    extraction replay, record-at-a-time through the virtual
 //             Sink interface (the pre-PR transport shape)
 //   chunked   extraction replay, bulk on_chunk() delivery
-//   shard2/4  context-sharded extraction (foray/shard.h) with its
-//             balance factor (1.0 = perfectly spreadable; the benchsuite
-//             kernels are dominated by one top-level loop, so expect
-//             poor spread on most of them — that is a property of the
-//             programs, reported, not hidden)
-//   online_pipe  pipeline-overlapped online profiling: the simulator
-//             produces chunks into rings, one consumer thread extracts
-//             concurrently (foray/online_pipeline.h) — end-to-end
-//             sim+extract time, so compare against `online`, not the
-//             replay modes
-//   tshard2/4 time-partition sharded extraction (foray/timeshard.h):
-//             the trace cut into K time slices extracted concurrently
-//             and reconciled exactly — parallelism even when one
-//             context dominates (balance-immune, unlike shard2/4)
 //
-// Every multi-run-capable mode is timed best-of-3: the 1-core container
-// shares its core with neighbors, and a single cold run routinely reads
-// 2x under the machine's real capability. (Shard modes used to be timed
-// single-shot, which is where the historical gsm shard4 < shard2
-// anomaly in BENCH_profiling.json came from — one noisy run published
-// as the number.) Results go to BENCH_profiling.json together with the
+// The sim and online modes are timed best-of-3: on a shared core a
+// single cold run routinely reads 2x under the machine's real
+// capability. Results go to BENCH_profiling.json together with the
 // pre-PR seed baselines (measured at commit 87dbf5c on the 1-core dev
 // container) so future sessions can track multiples against a fixed
 // reference.
@@ -68,11 +51,8 @@
 #include <vector>
 
 #include "benchsuite/suite.h"
-#include "foray/online_pipeline.h"
 #include "jit/engine.h"
 #include "foray/pipeline.h"
-#include "foray/shard.h"
-#include "foray/timeshard.h"
 #include "sim/interp_impl.h"
 #include "trace/sink.h"
 #include "util/json.h"
@@ -88,19 +68,11 @@ constexpr double kSeedSimMrecS = 15.4;
 constexpr double kSeedExtractMrecS = 41.1;
 constexpr double kSeedOnlineMrecS = 15.6;
 
-struct ModeResult {
-  double mrec_s = 0.0;
-  double balance = 0.0;  ///< shard modes only
-};
-
 struct ProgramResult {
   std::string name;
   uint64_t records = 0;
   double sim = 0, sim_ast = 0, sim_jit = 0, online = 0, online_ast = 0,
          online_jit = 0, record = 0, chunked = 0;
-  ModeResult shard2, shard4;
-  double online_pipe = 0;        ///< overlapped sim+extract, 1 consumer
-  double tshard2 = 0, tshard4 = 0;
 };
 
 double mrec_s(uint64_t records, double seconds) {
@@ -216,36 +188,6 @@ ProgramResult run_one(const benchsuite::Benchmark& b) {
     ex.on_chunk(recs.data(), recs.size());
   }));
 
-  for (int k : {2, 4}) {
-    // best-of-3 like the sim/online modes: the single-shot timing these
-    // modes used before is what produced the gsm shard4 anomaly — on a
-    // shared 1-core box one preempted run can halve the published
-    // number while shard2's run happened to land clean.
-    core::ShardReport rep;
-    double t = timed_best([&] {
-      auto ex = core::extract_sharded({recs.data(), recs.size()},
-                                      core::ExtractorOptions{}, k, &rep);
-      (void)ex;
-    });
-    ModeResult& slot = (k == 2) ? out.shard2 : out.shard4;
-    slot.mrec_s = mrec_s(out.records, t);
-    slot.balance = rep.balance;
-  }
-
-  out.online_pipe = mrec_s(out.records, timed_best([&] {
-    core::Extractor ex;
-    check(core::run_profile_pipelined(*res.program, bc_opts,
-                                      core::ExtractorOptions{}, 1, &ex));
-  }));
-
-  for (int k : {2, 4}) {
-    double t = timed_best([&] {
-      auto ex = core::extract_time_sharded({recs.data(), recs.size()},
-                                           core::ExtractorOptions{}, k);
-      (void)ex;
-    });
-    ((k == 2) ? out.tshard2 : out.tshard4) = mrec_s(out.records, t);
-  }
   return out;
 }
 
@@ -253,8 +195,7 @@ void write_json(const std::string& path,
                 const std::vector<ProgramResult>& rows, bool full_suite) {
   util::JsonWriter w;
   uint64_t total = 0;
-  double ts = 0, ta = 0, tj = 0, to = 0, toa = 0, toj = 0, tr = 0, tc = 0,
-         t2 = 0, t4 = 0, tp = 0, tt2 = 0, tt4 = 0;
+  double ts = 0, ta = 0, tj = 0, to = 0, toa = 0, toj = 0, tr = 0, tc = 0;
   auto add = [](double* acc, uint64_t records, double mrec) {
     if (mrec > 0) *acc += records / 1e6 / mrec;
   };
@@ -268,11 +209,6 @@ void write_json(const std::string& path,
     add(&toj, r.records, r.online_jit);
     add(&tr, r.records, r.record);
     add(&tc, r.records, r.chunked);
-    add(&t2, r.records, r.shard2.mrec_s);
-    add(&t4, r.records, r.shard4.mrec_s);
-    add(&tp, r.records, r.online_pipe);
-    add(&tt2, r.records, r.tshard2);
-    add(&tt4, r.records, r.tshard4);
   }
   const double agg_sim = ts > 0 ? total / 1e6 / ts : 0.0;
   const double agg_sim_ast = ta > 0 ? total / 1e6 / ta : 0.0;
@@ -297,13 +233,6 @@ void write_json(const std::string& path,
     w.key("online_jit").value(r.online_jit);
     w.key("record_at_a_time").value(r.record);
     w.key("chunked").value(r.chunked);
-    w.key("shard2").value(r.shard2.mrec_s);
-    w.key("shard2_balance").value(r.shard2.balance);
-    w.key("shard4").value(r.shard4.mrec_s);
-    w.key("shard4_balance").value(r.shard4.balance);
-    w.key("online_pipeline").value(r.online_pipe);
-    w.key("timeshard2").value(r.tshard2);
-    w.key("timeshard4").value(r.tshard4);
     w.end_object();
   }
   w.end_array();
@@ -320,11 +249,6 @@ void write_json(const std::string& path,
     w.key("online_jit").value(toj > 0 ? total / 1e6 / toj : 0.0);
     w.key("record_at_a_time").value(tr > 0 ? total / 1e6 / tr : 0.0);
     w.key("chunked").value(agg_chunked);
-    w.key("shard2").value(t2 > 0 ? total / 1e6 / t2 : 0.0);
-    w.key("shard4").value(t4 > 0 ? total / 1e6 / t4 : 0.0);
-    w.key("online_pipeline").value(tp > 0 ? total / 1e6 / tp : 0.0);
-    w.key("timeshard2").value(tt2 > 0 ? total / 1e6 / tt2 : 0.0);
-    w.key("timeshard4").value(tt4 > 0 ? total / 1e6 / tt4 : 0.0);
     w.end_object();
     w.key("seed_baseline").begin_object();
     w.key("commit").value("87dbf5c");
@@ -417,21 +341,17 @@ int main(int argc, char** argv) {
 
   std::vector<ProgramResult> rows;
   std::printf("== profiling throughput (Mrec/s) ==\n");
-  std::printf("%-8s %10s %6s %7s %7s %7s %8s %7s %7s %8s %14s %14s %8s "
-              "%7s %7s\n",
-              "program", "records", "sim", "sim_ast", "sim_jit", "online",
-              "onl_ast", "onl_jit", "record", "chunked", "shard2(bal)",
-              "shard4(bal)", "onl_pipe", "tshard2", "tshard4");
+  std::printf("%-8s %10s %6s %7s %7s %7s %8s %7s %7s %8s\n", "program",
+              "records", "sim", "sim_ast", "sim_jit", "online", "onl_ast",
+              "onl_jit", "record", "chunked");
   for (const auto& b : benchsuite::all_benchmarks()) {
     if (!only.empty() && b.name != only) continue;
     ProgramResult r = run_one(b);
     std::printf("%-8s %10llu %6.1f %7.1f %7.1f %7.1f %8.1f %7.1f %7.1f "
-                "%8.1f %8.1f (%.2f) %8.1f (%.2f) %8.1f %7.1f %7.1f\n",
+                "%8.1f\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.records),
                 r.sim, r.sim_ast, r.sim_jit, r.online, r.online_ast,
-                r.online_jit, r.record, r.chunked, r.shard2.mrec_s,
-                r.shard2.balance, r.shard4.mrec_s, r.shard4.balance,
-                r.online_pipe, r.tshard2, r.tshard4);
+                r.online_jit, r.record, r.chunked);
     rows.push_back(std::move(r));
   }
   if (rows.empty()) {

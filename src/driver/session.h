@@ -15,11 +15,9 @@
 namespace foray::driver {
 
 struct SessionOptions {
-  /// Full phase configuration, including pipeline.profile_shards: set it
-  /// above 1 to shard this session's extraction across a thread pool
-  /// (bit-identical output; see foray/shard.h). Sweep users note the
-  /// two levels compose — SweepDriver threads run whole sessions,
-  /// profile_shards parallelizes inside one.
+  /// Full phase configuration. A session's Phase I is one sequential
+  /// pass; parallelism lives a level up, where SweepDriver threads run
+  /// whole sessions.
   core::PipelineOptions pipeline;
 };
 
@@ -39,9 +37,10 @@ class Session {
 
   /// Installs a previously-extracted model (a model-cache hit) instead of
   /// running Phase I. The session becomes ran() with an ok status and
-  /// model_built, so resolve() works immediately; the simulator-side
-  /// artifacts (run counters, trace, extractor) stay empty — from_cache()
-  /// tells reporting code apart. Only legal before run().
+  /// model_built, so Phase II can solve over it immediately; the
+  /// simulator-side artifacts (run counters, trace, extractor) stay
+  /// empty — from_cache() tells reporting code apart. Only legal before
+  /// run().
   void adopt_model(core::ForayModel model);
   bool from_cache() const { return adopted_; }
 
@@ -54,29 +53,6 @@ class Session {
   /// result afterwards.
   core::PipelineResult take_result() { return std::move(result_); }
 
-  /// Re-solves only the SpmPhase under arbitrary Phase II options —
-  /// capacity, energy model, cache comparison, all of SpmPhaseOptions —
-  /// reusing the Phase I artifacts (model extraction dominates the cost;
-  /// the DSE is cheap). This is the per-point workhorse for capacity
-  /// sweeps: one run() then one resolve() per configuration. The buffer
-  /// candidates are memoized across resolves — they depend only on the
-  /// model and opts.reuse, so back-to-back re-solves that vary capacity,
-  /// energy or cache skip re-enumeration entirely. Requires a run() that
-  /// built the model; a previous resolve's failure is cleared first, so
-  /// status() afterwards reflects this point alone. Returns the
-  /// refreshed report, which also replaces result().spm.
-  ///
-  /// `with_replay` additionally re-runs the transform-replay check for
-  /// the new exact selection; the overload without it follows the
-  /// session's pipeline options.
-  const core::SpmReport& resolve(const core::SpmPhaseOptions& opts);
-  const core::SpmReport& resolve(const core::SpmPhaseOptions& opts,
-                                 bool with_replay);
-
-  /// Capacity-only convenience: resolve() with only dse.spm_capacity
-  /// changed.
-  const core::SpmReport& rerun_spm(uint32_t capacity_bytes);
-
   /// Deterministic text report of the current SpmReport (empty when the
   /// SpmPhase has not run).
   std::string spm_report_text() const;
@@ -88,12 +64,6 @@ class Session {
   core::PipelineResult result_;
   bool ran_ = false;
   bool adopted_ = false;  ///< model came from the cache, not a pipeline run
-  /// Buffer candidates memoized across resolve() calls, with the reuse
-  /// filter they were enumerated under (the only Phase II options they
-  /// depend on besides the — immutable — model).
-  std::vector<spm::BufferCandidate> candidates_;
-  spm::ReuseOptions candidates_reuse_;
-  bool candidates_valid_ = false;
 };
 
 }  // namespace foray::driver

@@ -642,8 +642,9 @@ void run_phase1(const SweepJob& job, const SweepOptions& opts,
 /// Builds the SweepItem for grid point `i` from its group's solve.
 /// `solve == nullptr` means Phase I failed and the session status is the
 /// item's outcome. `retain_full` gates what only the buffered report
-/// reads (the describe_spm_report text and the SpmReport's candidates
-/// vector); the streaming path skips both.
+/// reads (the describe_spm_report text, the SpmReport's candidates
+/// vector, and the replay's program text and per-buffer events); the
+/// streaming path skips them.
 SweepItem build_item(const SweepJob& job, size_t job_index,
                      const SweepGrid& grid, size_t i, const JobState& js,
                      const PointSolve* solve,
@@ -680,7 +681,23 @@ SweepItem build_item(const SweepJob& job, size_t job_index,
                           point.spm_options(base_spm).dse)
                     : solve->spm.with_spm;
   item.replay_ran = solve->replay_ran;
-  if (item.replay_ran) item.replay = solve->replay;
+  if (item.replay_ran && retain_full) {
+    item.replay = solve->replay;
+  } else if (item.replay_ran) {
+    // Streaming: only what point_line and ReplayReport::matches() read.
+    const spm::ReplayReport& r = solve->replay;
+    item.replay.status = r.status;
+    item.replay.ran = r.ran;
+    item.replay.rectangular = r.rectangular;
+    item.replay.unclassified_accesses = r.unclassified_accesses;
+    item.replay.sim_spm_accesses = r.sim_spm_accesses;
+    item.replay.sim_main_accesses = r.sim_main_accesses;
+    item.replay.sim_transfer_words = r.sim_transfer_words;
+    item.replay.ana_spm_accesses = r.ana_spm_accesses;
+    item.replay.ana_main_accesses = r.ana_main_accesses;
+    item.replay.ana_transfer_words = r.ana_transfer_words;
+    item.replay.mismatches = r.mismatches;
+  }
   if (retain_full) {
     item.report = core::describe_spm_report(solve->spm, model);
     if (solve->replay_ran) {

@@ -160,7 +160,7 @@ struct SweepGrid {
 struct SweepOptions {
   int threads = 1;
   SweepSpec spec;
-  /// Phase I configuration (engine, filter, shards) and the base Phase
+  /// Phase I configuration (engine, filter, offline) and the base Phase
   /// II options that empty axes inherit. with_spm is forced on.
   core::PipelineOptions pipeline;
   /// How many times a *transient* failure (ErrorCode::kIoError — the

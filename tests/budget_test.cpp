@@ -1,6 +1,6 @@
 // Execution budgets (sim/budget.h): the step guard, the record budget,
 // the wall-clock deadline and cooperative cancellation, on both engines
-// and through every parallel extraction mode.
+// and through both the online and the offline extraction mode.
 //
 // The load-bearing contract is "budget plus one chunk": record/deadline/
 // cancel checks run at trace-chunk boundaries (check-after-delivery), so
@@ -155,50 +155,44 @@ TEST(Budget, UnbudgetedRunIsUnaffected) {
   }
 }
 
-// -- budgets through the pipeline's parallel extraction modes ----------------
+// -- budgets through the pipeline's extraction modes -------------------------
 //
 // The acceptance bar: a non-terminating program under --max-steps /
-// --timeout fails with the right class in every mode, not just the
+// --timeout fails with the right class in both modes, not just the
 // plain online run.
 
-core::PipelineOptions mode_opts(int mode, Engine engine) {
+core::PipelineOptions mode_opts(bool offline, Engine engine) {
   core::PipelineOptions opts;
   opts.run.engine = engine;
   opts.filter.min_exec = 1;
   opts.filter.min_locations = 1;
-  switch (mode) {
-    case 0: break;                            // online
-    case 1: opts.offline = true; break;       // --offline
-    case 2: opts.profile_shards = 2; break;   // --shards 2
-    case 3: opts.profile_pipeline = true; break;   // --pipeline
-    case 4: opts.profile_timeshards = 2; break;    // --timeshards 2
-  }
+  opts.offline = offline;
   return opts;
 }
 
 TEST(Budget, StepBudgetFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 5; ++mode) {
-      core::PipelineOptions opts = mode_opts(mode, engine);
+    for (bool offline : {false, true}) {
+      core::PipelineOptions opts = mode_opts(offline, engine);
       opts.run.budget.max_steps = 50'000;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "mode " << mode;
+      EXPECT_FALSE(res.ok()) << "offline " << offline;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kResourceExhausted)
-          << "mode " << mode << ": " << res.status.message();
+          << "offline " << offline << ": " << res.status.message();
     }
   }
 }
 
 TEST(Budget, DeadlineFaultsEveryExtractionMode) {
   for (Engine engine : kEngines) {
-    for (int mode = 0; mode < 5; ++mode) {
-      core::PipelineOptions opts = mode_opts(mode, engine);
+    for (bool offline : {false, true}) {
+      core::PipelineOptions opts = mode_opts(offline, engine);
       opts.run.chunk_records = 64;
       opts.run.budget.timeout_seconds = 1e-9;
       auto res = core::run_pipeline(kSpinWithTraffic, opts);
-      EXPECT_FALSE(res.ok()) << "mode " << mode;
+      EXPECT_FALSE(res.ok()) << "offline " << offline;
       EXPECT_EQ(res.status.code(), util::ErrorCode::kDeadlineExceeded)
-          << "mode " << mode << ": " << res.status.message();
+          << "offline " << offline << ": " << res.status.message();
     }
   }
 }

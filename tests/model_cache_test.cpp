@@ -325,10 +325,10 @@ TEST(ModelCacheKey, TracksModelChangingOptionsOnly) {
   engine.run.engine = sim::Engine::Jit;
   EXPECT_EQ(ModelCache::key(kGood, engine), k);
 
-  // Parallel-extraction modes are likewise locked bit-identical.
-  core::PipelineOptions shards = base;
-  shards.profile_shards = 4;
-  EXPECT_EQ(ModelCache::key(kGood, shards), k);
+  // Online and offline extraction are likewise locked bit-identical.
+  core::PipelineOptions offline = base;
+  offline.offline = true;
+  EXPECT_EQ(ModelCache::key(kGood, offline), k);
 
   // Budgets never produce a model to store.
   core::PipelineOptions budget = base;

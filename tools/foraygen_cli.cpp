@@ -43,8 +43,6 @@
 //               tree-walking reference oracle); both produce
 //               bit-identical traces (tests/engine_equivalence_test)
 //   --offline   materialize the trace, then analyze (default: online)
-//   --shards N  shard one program's extraction over N threads
-//               (bit-identical to sequential; implies materializing)
 //   --capacity N         spm: SPM size in bytes     (default 4096)
 //   --compare-cache      spm: also replay through LRU caches
 //   --replay             spm/batch/sweep: execute the transformed
@@ -161,17 +159,17 @@ int usage() {
       stderr,
       "usage: foraygen <model|emit|annotate|trace|stats|hints|run|profile"
       "|spm> <program.mc> [--engine ast|bytecode|jit] [--nexec N] [--nloc N] "
-      "[--seed S] [--offline] [--shards N] [--pipeline] [--timeshards N] "
+      "[--seed S] [--offline] "
       "[--capacity N] [--compare-cache] [--replay]\n"
       "       foraygen batch [--threads N] [--capacity-sweep a,b,c] "
       "[--engine ast|bytecode|jit] [--nexec N] [--nloc N] [--seed S] "
-      "[--shards N] [--replay] [--json PATH]\n"
+      "[--replay] [--json PATH]\n"
       "       foraygen sweep [program.mc] [--threads N] "
       "[--capacity-sweep a,b,c] [--energy-sweep a,b] [--cache-sweep "
       "off,32x2,...] [--algo-sweep dp,greedy] [--replay-sweep off,on] "
       "[--spec FILE] [--ndjson PATH|-] [--resume JOURNAL] [--lint-first] "
       "[--engine ast|bytecode|jit] [--nexec N] [--nloc N] [--seed S] "
-      "[--shards N] [--replay]\n"
+      "[--replay]\n"
       "       foraygen lint [program.mc] [--json PATH|-]\n"
       "       foraygen serve [--threads N] [--max-points N] "
       "[--static-admission] "
@@ -554,19 +552,6 @@ int main(int argc, char** argv) {
       opts.offline = true;
     } else if (arg == "--dump-jit") {
       jit::set_dump_jit(true);
-    } else if (arg == "--shards") {
-      if (!next_u64(&v) || v == 0) {
-        return option_error("option '--shards' requires a positive number");
-      }
-      opts.profile_shards = static_cast<int>(v);
-    } else if (arg == "--pipeline") {
-      opts.profile_pipeline = true;
-    } else if (arg == "--timeshards") {
-      if (!next_u64(&v) || v == 0) {
-        return option_error(
-            "option '--timeshards' requires a positive number");
-      }
-      opts.profile_timeshards = static_cast<int>(v);
     } else if (arg == "--compare-cache") {
       opts.spm.compare_cache = true;
     } else if (arg == "--replay") {
@@ -929,21 +914,6 @@ int main(int argc, char** argv) {
     std::printf("analyzer state: %zu bytes\n", ex.state_bytes());
     std::printf("model: %zu reference(s) survive the Step 4 filter\n",
                 res.model.refs.size());
-    if (res.shard_report.shards_requested > 1) {
-      std::printf("shards: %d requested, %d used, balance %.2f\n",
-                  res.shard_report.shards_requested,
-                  res.shard_report.shards_used, res.shard_report.balance);
-    }
-    if (res.timeshard_report.slices_requested > 1) {
-      const auto& t = res.timeshard_report;
-      std::printf("timeshards: %d requested, %d used; refs %llu adopted, "
-                  "%llu composed, %llu rescanned (%llu rescan pass(es))\n",
-                  t.slices_requested, t.slices_used,
-                  static_cast<unsigned long long>(t.refs_adopted),
-                  static_cast<unsigned long long>(t.refs_composed),
-                  static_cast<unsigned long long>(t.refs_rescanned),
-                  static_cast<unsigned long long>(t.rescan_passes));
-    }
     return 0;
   }
   if (command == "model") {
