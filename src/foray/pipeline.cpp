@@ -111,7 +111,14 @@ spm::CacheSim simulate_cache(const ForayModel& model,
 
 util::Status spm_phase(const SpmPhaseOptions& opts, PipelineResult* result) {
   FORAY_CHECK(result->model_built, "spm_phase requires extract_phase");
-  result->spm = solve_spm(result->model, opts);
+  try {
+    result->spm = solve_spm(result->model, opts);
+  } catch (const util::StatusError& e) {
+    // A geometry the solver rejects (a cache that does not split into
+    // 2^k sets) fails this phase; the model stays built and usable.
+    result->status = e.status();
+    return result->status;
+  }
   result->spm_ran = true;
   return result->status;
 }

@@ -6,7 +6,7 @@
 // that an extracted model reproduces the simulator-observed addresses.
 //
 // The visitors are templates: the callback is a deduced functor invoked
-// directly inside the odometer sweep, so a lambda over CacheSim::access
+// directly inside the strided sweep, so a lambda over CacheSim::access
 // (or a counter) inlines into the loop — the streams replay at memory
 // bandwidth instead of paying a std::function indirection per address.
 #pragma once
@@ -20,27 +20,64 @@ namespace foray::spm {
 
 namespace internal {
 
-/// Odometer sweep over `trips` (outermost-first), calling fn(iters).
+/// Sweeps one nest (`trips`, outermost-first) in iteration order,
+/// innermost index fastest, with every reference of `bases` emitting one
+/// address per iteration, in order. `coefs` holds each reference's
+/// coefficients row-major (bases.size() rows of trips.size()). Returns
+/// the iteration count (the product of `trips`; 0 if any is <= 0).
+///
+/// The innermost loop runs as outer[k] + inner_coef[k] * t, and `outer`
+/// moves by one stride when an outer index carries, so no address pays
+/// for a dot product. The arithmetic wraps modulo 2^64; only the low 32
+/// bits are emitted, which equal those of the signed dot product.
 template <class Fn>
-uint64_t sweep(const std::vector<int64_t>& trips, Fn&& fn) {
-  const size_t n = trips.size();
+uint64_t sweep_nest(const std::vector<int64_t>& trips,
+                    const std::vector<uint64_t>& bases,
+                    const std::vector<uint64_t>& coefs, Fn&& fn) {
   for (int64_t t : trips) {
     if (t <= 0) return 0;
   }
-  std::vector<int64_t> it(n, 0);
+  const size_t n = trips.size();
+  const size_t refs = bases.size();
+  std::vector<uint64_t> outer = bases;  ///< each address at inner t = 0
+  if (n == 0) {
+    for (size_t k = 0; k < refs; ++k) fn(static_cast<uint32_t>(outer[k]));
+    return 1;
+  }
+  std::vector<uint64_t> inner(refs);
+  for (size_t k = 0; k < refs; ++k) inner[k] = coefs[k * n + n - 1];
+  const uint64_t inner_trips = static_cast<uint64_t>(trips[n - 1]);
+  std::vector<int64_t> it(n - 1, 0);  ///< outer indices
   uint64_t count = 0;
   for (;;) {
-    fn(it);
-    ++count;
-    if (n == 0) return count;
-    // Innermost (last index) advances fastest.
+    for (uint64_t t = 0; t < inner_trips; ++t) {
+      for (size_t k = 0; k < refs; ++k) {
+        fn(static_cast<uint32_t>(outer[k] + inner[k] * t));
+      }
+    }
+    count += inner_trips;
+    // Carry into the outer indices, innermost first.
     size_t i = n - 1;
     for (;;) {
-      if (++it[i] < trips[i]) break;
-      it[i] = 0;
       if (i == 0) return count;
       --i;
+      for (size_t k = 0; k < refs; ++k) outer[k] += coefs[k * n + i];
+      if (++it[i] < trips[i]) break;
+      for (size_t k = 0; k < refs; ++k) {
+        outer[k] -= coefs[k * n + i] * static_cast<uint64_t>(trips[i]);
+      }
+      it[i] = 0;
     }
+  }
+}
+
+/// Appends `ref`'s base and emitted coefficients to a sweep_nest plan.
+inline void add_to_plan(const core::ModelReference& ref,
+                        std::vector<uint64_t>* bases,
+                        std::vector<uint64_t>* coefs) {
+  bases->push_back(static_cast<uint64_t>(ref.fn.const_term));
+  for (int64_t c : ref.emitted_coefs()) {
+    coefs->push_back(static_cast<uint64_t>(c));
   }
 }
 
@@ -51,13 +88,9 @@ uint64_t sweep(const std::vector<int64_t>& trips, Fn&& fn) {
 /// produced (product of emitted trips).
 template <class Fn>
 uint64_t for_each_address(const core::ModelReference& ref, Fn&& fn) {
-  auto trips = ref.emitted_trips();
-  auto coefs = ref.emitted_coefs();
-  return internal::sweep(trips, [&](const std::vector<int64_t>& it) {
-    int64_t addr = ref.fn.const_term;
-    for (size_t i = 0; i < coefs.size(); ++i) addr += coefs[i] * it[i];
-    fn(static_cast<uint32_t>(addr));
-  });
+  std::vector<uint64_t> bases, coefs;
+  internal::add_to_plan(ref, &bases, &coefs);
+  return internal::sweep_nest(ref.emitted_trips(), bases, coefs, fn);
 }
 
 /// Interleaved stream over all references of a model that share a nest:
@@ -66,52 +99,37 @@ uint64_t for_each_address(const core::ModelReference& ref, Fn&& fn) {
 /// total accesses produced.
 template <class Fn>
 uint64_t for_each_address(const core::ForayModel& model, Fn&& fn) {
-  // Group references by emitted nest, then sweep each group once with
-  // all its references interleaved per iteration.
+  // Group references by emitted nest (loop path and trips), in order of
+  // first appearance, then sweep each group once with all its
+  // references interleaved per iteration.
   struct Group {
+    std::vector<int> path;
     std::vector<int64_t> trips;
-    std::vector<size_t> refs;
+    std::vector<uint64_t> bases;
+    std::vector<uint64_t> coefs;
   };
   std::vector<Group> groups;
-  for (size_t i = 0; i < model.refs.size(); ++i) {
-    auto path = model.refs[i].emitted_loop_path();
-    auto trips = model.refs[i].emitted_trips();
-    bool placed = false;
-    for (auto& g : groups) {
-      if (!g.refs.empty() &&
-          model.refs[g.refs[0]].emitted_loop_path() == path &&
-          g.trips == trips) {
-        g.refs.push_back(i);
-        placed = true;
+  for (const core::ModelReference& ref : model.refs) {
+    std::vector<int> path = ref.emitted_loop_path();
+    std::vector<int64_t> trips = ref.emitted_trips();
+    Group* home = nullptr;
+    for (Group& g : groups) {
+      if (g.path == path && g.trips == trips) {
+        home = &g;
         break;
       }
     }
-    if (!placed) groups.push_back(Group{trips, {i}});
+    if (home == nullptr) {
+      groups.push_back(Group{std::move(path), std::move(trips), {}, {}});
+      home = &groups.back();
+    }
+    internal::add_to_plan(ref, &home->bases, &home->coefs);
   }
 
   uint64_t total = 0;
-  for (const auto& g : groups) {
-    // Hoist the per-reference constants out of the sweep.
-    struct RefPlan {
-      int64_t base;
-      std::vector<int64_t> coefs;
-    };
-    std::vector<RefPlan> plans;
-    plans.reserve(g.refs.size());
-    for (size_t ri : g.refs) {
-      plans.push_back(RefPlan{model.refs[ri].fn.const_term,
-                              model.refs[ri].emitted_coefs()});
-    }
-    total += static_cast<uint64_t>(g.refs.size()) *
-             internal::sweep(g.trips, [&](const std::vector<int64_t>& it) {
-               for (const RefPlan& p : plans) {
-                 int64_t addr = p.base;
-                 for (size_t i = 0; i < p.coefs.size(); ++i) {
-                   addr += p.coefs[i] * it[i];
-                 }
-                 fn(static_cast<uint32_t>(addr));
-               }
-             });
+  for (const Group& g : groups) {
+    total += static_cast<uint64_t>(g.bases.size()) *
+             internal::sweep_nest(g.trips, g.bases, g.coefs, fn);
   }
   return total;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "spm/energy.h"
+#include "util/status.h"
 
 namespace foray::spm {
 
@@ -28,6 +29,9 @@ double cache_energy_nj(const CacheConfig& cfg, uint64_t hits,
 
 class CacheSim {
  public:
+  /// Throws util::StatusError (invalid_input, phase "cache") on a
+  /// geometry it cannot simulate: a line size or set count that is not
+  /// 2^k, associativity < 1, or less than one set of capacity.
   explicit CacheSim(const CacheConfig& cfg);
 
   /// Simulates one access; returns true on hit.
@@ -47,16 +51,14 @@ class CacheSim {
   void reset();
 
  private:
-  struct Line {
-    uint32_t tag = 0;
-    bool valid = false;
-    uint64_t lru = 0;  ///< last-use stamp
-  };
-
   CacheConfig cfg_;
-  uint32_t num_sets_;
-  std::vector<Line> lines_;  ///< sets * assoc, row-major by set
-  uint64_t stamp_ = 0;
+  uint32_t line_shift_;  ///< log2(line_bytes)
+  uint32_t set_shift_;   ///< log2(number of sets)
+  uint32_t set_mask_;    ///< number of sets - 1
+  /// Per set, the tags of its valid ways in most-recently-used-first
+  /// order (sets * assoc, row-major by set); the LRU victim is the last.
+  std::vector<uint32_t> tags_;
+  std::vector<uint32_t> valid_;  ///< valid ways per set
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -28,44 +28,71 @@ Selection select_buffers(const std::vector<BufferCandidate>& candidates,
   }
   // A zero granule must quantize as one byte, not divide by zero.
   const uint32_t granule = std::max<uint32_t>(opts.granule, 1);
-  const uint32_t slots = opts.spm_capacity / granule;
-  // dp[w] = best savings using at most w granules; choice tracking per
-  // group layer.
-  std::vector<double> dp(slots + 1, 0.0);
-  std::vector<std::vector<const BufferCandidate*>> pick(
-      slots + 1);  // chosen set achieving dp[w]
-
+  auto need_of = [granule](const BufferCandidate& c) {
+    return static_cast<uint32_t>((c.size_bytes + granule - 1) / granule);
+  };
+  // dp[w] = best savings using at most w granules, so it is
+  // non-decreasing in w and constant past the sum of every group's
+  // largest need: no selection can use more. The first w reaching the
+  // maximum lies at or below that sum, so slots beyond it cannot change
+  // the answer and are never allocated.
+  std::vector<const std::vector<const BufferCandidate*>*> layers;
+  uint64_t useful = 0;
   for (const auto& [ref, items] : groups) {
     (void)ref;
-    std::vector<double> next_dp = dp;
-    auto next_pick = pick;
+    FORAY_CHECK(items.size() < UINT16_MAX,
+                "too many buffer candidates for one reference");
+    layers.push_back(&items);
+    uint32_t largest = 0;
     for (const BufferCandidate* c : items) {
-      const uint32_t need = static_cast<uint32_t>(
-          (c->size_bytes + granule - 1) / granule);
-      const double gain = candidate_saving_nj(*c, opts);
+      largest = std::max(largest, need_of(*c));
+    }
+    useful += largest;
+  }
+  const uint32_t slots = static_cast<uint32_t>(
+      std::min<uint64_t>(opts.spm_capacity / granule, useful));
+  const size_t row = static_cast<size_t>(slots) + 1;
+  // choice[g * row + w] = 1 + the index of the item of group g that
+  // last strictly improved dp[w] in that layer, 0 when the layer kept
+  // the previous group's dp[w].
+  std::vector<uint16_t> choice(layers.size() * row, 0);
+  std::vector<double> dp(row, 0.0);
+  std::vector<double> next(row);
+  for (size_t g = 0; g < layers.size(); ++g) {
+    const auto& items = *layers[g];
+    uint16_t* picks = &choice[g * row];
+    std::copy(dp.begin(), dp.end(), next.begin());
+    for (size_t i = 0; i < items.size(); ++i) {
+      const uint32_t need = need_of(*items[i]);
+      const double gain = candidate_saving_nj(*items[i], opts);
       for (uint32_t w = need; w <= slots; ++w) {
         const double with = dp[w - need] + gain;
-        if (with > next_dp[w]) {
-          next_dp[w] = with;
-          next_pick[w] = pick[w - need];
-          next_pick[w].push_back(c);
+        if (with > next[w]) {
+          next[w] = with;
+          picks[w] = static_cast<uint16_t>(i + 1);
         }
       }
     }
-    dp = std::move(next_dp);
-    pick = std::move(next_pick);
+    dp.swap(next);
   }
 
-  Selection sel;
   uint32_t best_w = 0;
   for (uint32_t w = 0; w <= slots; ++w) {
     if (dp[w] > dp[best_w]) best_w = w;
   }
+  Selection sel;
   sel.saved_nj = dp[best_w];
-  for (const BufferCandidate* c : pick[best_w]) {
+  // Walk the layers back from best_w, then restore group order.
+  uint32_t w = best_w;
+  for (size_t g = layers.size(); g-- > 0;) {
+    const uint16_t pick = choice[g * row + w];
+    if (pick == 0) continue;
+    const BufferCandidate* c = (*layers[g])[pick - 1];
     sel.chosen.push_back(*c);
     sel.bytes_used += c->size_bytes;
+    w -= need_of(*c);
   }
+  std::reverse(sel.chosen.begin(), sel.chosen.end());
   return sel;
 }
 

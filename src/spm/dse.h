@@ -32,7 +32,15 @@ struct Selection {
 /// from DRAM to SPM, fills pay both sides.
 double candidate_saving_nj(const BufferCandidate& c, const DseOptions& opts);
 
-/// Exact group-knapsack DP.
+/// Exact group-knapsack DP over capacity granules (exact for sizes
+/// rounded up to `granule` bytes). Runs in O(groups x useful slots)
+/// time and space, where the useful slots are
+/// min(capacity / granule, sum over references of their largest
+/// candidate's granules) + 1: past that sum no selection can use more,
+/// so a huge capacity costs no more than the candidates themselves.
+/// Ties keep the first selection found (groups in reference order, each
+/// group's items in input order), and `chosen` lists the buffers in
+/// reference order.
 Selection select_buffers(const std::vector<BufferCandidate>& candidates,
                          const DseOptions& opts);
 

@@ -172,6 +172,47 @@ TEST(Serve, BadRequestsGetErrorRowsAndTheLoopSurvives) {
   EXPECT_TRUE(good->find("ok")->b);
 }
 
+TEST(Serve, UnsplittableCacheGeometryIsInvalidInputPerPoint) {
+  // A 100000 B cache of 32 B lines x 2 ways has 1562 sets: the request's
+  // 32x2 point at that capacity is the user's error (invalid_input, not
+  // internal), its other points are served, and so is the next request.
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value(static_cast<int64_t>(1));
+  w.key("name").value("alpha");
+  w.key("source").value(kGood);
+  w.key("axes").begin_object();
+  w.key("capacity").value("100000,4096");
+  w.key("cache").value("off,32x2");
+  w.end_object();
+  w.end_object();
+  const ServeRun r = run_serve(w.take() + "\n" + good_request(2) + "\n",
+                               serve_opts());
+  EXPECT_TRUE(r.status.ok()) << r.status.message();
+  int ok_points = 0;
+  int bad_points = 0;
+  std::vector<const util::JsonValue*> done;
+  for (const auto& row : r.rows) {
+    if (kind(row) == "done") done.push_back(&row);
+    if (kind(row) != "point") continue;
+    if (row.find("ok")->b) {
+      ++ok_points;
+      continue;
+    }
+    ++bad_points;
+    EXPECT_EQ(row.find("capacity_bytes")->num, 100000.0);
+    EXPECT_EQ(row.find("cache")->str, "32x2");
+    EXPECT_EQ(row.find("error_class")->str, "invalid_input");
+    EXPECT_EQ(row.find("phase")->str, "cache");
+  }
+  EXPECT_EQ(bad_points, 1);
+  EXPECT_EQ(ok_points, 3 + 2);  // the rest of id 1, then all of id 2
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_FALSE(done[0]->find("ok")->b);
+  EXPECT_EQ(done[0]->find("error_class")->str, "invalid_input");
+  EXPECT_TRUE(done[1]->find("ok")->b);
+}
+
 TEST(Serve, AdmissionControlRefusesOversizedGrids) {
   ServeOptions opts = serve_opts();
   opts.max_points = 1;  // the good request expands to 2 points

@@ -567,6 +567,57 @@ TEST(SweepDriver, BrokenProgramYieldsClassifiedRowsOthersUnchanged) {
             rows_mentioning(clean.str(), "ok2"));
 }
 
+TEST(SweepDriver, UnsplittableCacheGeometryIsPerPointInvalidInput) {
+  // 100000 B with 32 B lines x 2 ways is 1562 sets, which no 2^k-set LRU
+  // cache can have. That is a user's grid, not a bug: those points (and
+  // only those) fail as invalid_input, even when the bad one is point 0,
+  // which Phase I solves itself; every other row is byte-identical to a
+  // grid without the bad capacity, whatever the thread count.
+  auto point_rows_of = [](const char* caps, const char* caches,
+                          int threads, util::Status* st) {
+    SweepOptions o = sweep_opts(threads);
+    EXPECT_TRUE(o.spec.parse_axis("capacity", caps).ok());
+    EXPECT_TRUE(o.spec.parse_axis("cache", caches).ok());
+    std::ostringstream out;
+    *st = SweepDriver(o).run_ndjson(good_jobs(), out);
+    return point_rows(out.str());
+  };
+  util::Status clean_st;
+  const std::vector<std::string> clean =
+      point_rows_of("1024", "32x2,off", 1, &clean_st);
+  ASSERT_TRUE(clean_st.ok()) << clean_st.message();
+  for (int threads : {1, 4}) {
+    util::Status st;
+    const std::vector<std::string> rows =
+        point_rows_of("100000,1024", "32x2,off", threads, &st);
+    EXPECT_EQ(st.code(), util::ErrorCode::kInvalidInput) << st.message();
+    ASSERT_EQ(rows.size(), 8u);  // 2 programs x 2 capacities x 2 caches
+    std::vector<std::string> healthy;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const bool bad_point = i % 4 == 0;  // 100000 B x 32x2 per program
+      if (bad_point) {
+        EXPECT_NE(rows[i].find("\"ok\":false"), std::string::npos)
+            << rows[i];
+        EXPECT_NE(rows[i].find("\"error_class\":\"invalid_input\""),
+                  std::string::npos)
+            << rows[i];
+        EXPECT_NE(rows[i].find("\"phase\":\"cache\""), std::string::npos)
+            << rows[i];
+        EXPECT_NE(rows[i].find("1562"), std::string::npos) << rows[i];
+      } else {
+        EXPECT_NE(rows[i].find("\"ok\":true"), std::string::npos)
+            << rows[i];
+      }
+      if (i % 4 >= 2) healthy.push_back(without_key(rows[i]));
+    }
+    std::vector<std::string> clean_unkeyed;
+    for (const std::string& row : clean) {
+      clean_unkeyed.push_back(without_key(row));
+    }
+    EXPECT_EQ(healthy, clean_unkeyed) << threads << " thread(s)";
+  }
+}
+
 TEST(SweepDriver, NdjsonEscapesHostileProgramNames) {
   SweepOptions o = sweep_opts(1);
   ASSERT_TRUE(o.spec.parse_axis("capacity", "1024").ok());

@@ -120,6 +120,7 @@
 //   6  I/O error (unreadable/unwritable/truncated file)
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -620,8 +621,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--capacity") {
       // 0 is allowed: the degenerate no-SPM report is a supported probe.
-      if (!next_u64(&v)) {
-        return option_error("option '--capacity' requires a byte count");
+      // The SPM model is 32-bit: a larger count must not wrap silently.
+      if (!next_u64(&v) || v > UINT32_MAX) {
+        return option_error(
+            "option '--capacity' requires a byte count of at most " +
+            std::to_string(UINT32_MAX));
       }
       opts.spm.dse.spm_capacity = static_cast<uint32_t>(v);
     } else if (arg == "--threads") {
